@@ -2,11 +2,13 @@
 
 Not in the paper's 1989 comparison, but the natural "graph space" method
 it cites (Fukunaga et al.) matured into spectral partitioning; a credible
-open-source release of a hypergraph partitioner ships one.  We take the
-clique expansion of the hypergraph (each k-pin net becomes a k-clique
-with edge weight ``w / (k - 1)``, the standard net model that preserves
-cut weight up to the model's well-known distortion), compute the Fiedler
-vector of its weighted Laplacian, and split at the weighted median.
+open-source release of a hypergraph partitioner ships one.  We split at
+the median of the Fiedler vector of the clique expansion's weighted
+Laplacian (each k-pin net a k-clique with edge weight ``w / (k - 1)``,
+the standard net model).  The expansion stays implicit: ``L`` is applied
+from the vertex × net pin incidence ``B`` as
+``L·x = diag(B·(W·k))·x - B·(W·(Bᵀ·x))`` with ``W = diag(w / (k - 1))``,
+so a k-pin net costs k entries, not k².
 
 The raw Fiedler vector is only defined up to sign and, within numerical
 noise, up to the ordering of (near-)equal components — both of which
@@ -30,9 +32,6 @@ from repro.baselines.result import BaselineResult
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
 from repro.runtime import Deadline, faults
-
-#: Above this size the Laplacian eigenproblem is solved sparsely.
-_DENSE_LIMIT = 600
 
 #: Fiedler components are rounded to this many decimals before ordering;
 #: differences below it are eigensolver noise, not structure.
@@ -63,17 +62,15 @@ def spectral_bisection(
 ) -> BaselineResult:
     """Bisect ``hypergraph`` with the Fiedler vector of its clique expansion.
 
-    Deterministic: the Fiedler order is canonicalized (quantized, sign
-    fixed, ties broken by vertex index — see :func:`_canonical_order`),
-    so the cut does not depend on the BLAS build or on ``seed``, which
-    only seeds the sparse solver's start vector.  Returns a true
-    bisection (``| |L| - |R| | <= 1``) by splitting the canonical Fiedler
-    order at the median.
+    Deterministic: whole components are placed in a fixed order (size
+    descending, then smallest vertex ``repr``) and only the one
+    straddling the median is split, in its canonical Fiedler order (see
+    :func:`_canonical_order`); ``seed`` only seeds the Lanczos start
+    vector.  Returns a true bisection (``| |L| - |R| | <= 1``);
+    ``iterations`` counts Laplacian applies.
 
-    The eigensolve is monolithic — it cannot be checkpointed — so an
-    already-expired ``deadline`` degrades to a deterministic median split
-    of the sorted vertex order instead of starting an eigensolve the
-    budget cannot pay for.
+    An already-expired ``deadline`` skips the monolithic (uncheckpointable)
+    eigensolve for a deterministic median split of the sorted vertices.
     """
     n = hypergraph.num_vertices
     if n < 2:
@@ -82,84 +79,85 @@ def spectral_bisection(
     vertices = sorted(hypergraph.vertices, key=repr)
     faults.inject("baseline.spectral.solve")
 
-    if deadline is not None and deadline.expired():
-        half = n // 2
-        left = set(vertices[:half])
-        right = set(vertices) - left
-        bipartition = Bipartition(hypergraph, left, right)
-        obs.count("baseline.spectral.runs")
-        obs.count("baseline.spectral.deadline_stops")
-        return BaselineResult(
-            bipartition=bipartition,
-            iterations=0,
-            evaluations=hypergraph.num_edges,
-            history=(bipartition.cutsize,),
-            degraded=True,
-            degrade_reason="deadline expired before eigensolve; median split",
-        )
-
-    index = {v: i for i, v in enumerate(vertices)}
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for name in hypergraph.edge_names:
-        members = [index[v] for v in hypergraph.edge_members(name)]
-        k = len(members)
-        if k < 2:
-            continue
-        w = hypergraph.edge_weight(name) / (k - 1)
-        for i_pos, i in enumerate(members):
-            for j in members[i_pos + 1 :]:
-                rows.extend((i, j))
-                cols.extend((j, i))
-                vals.extend((w, w))
-
-    import scipy.sparse as sp
-
-    if vals:
-        adjacency = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        adjacency = sp.csr_matrix((n, n))
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    laplacian = sp.diags(degrees) - adjacency
-
-    with obs.span("baseline.spectral"):
-        fiedler = _fiedler_vector(laplacian, seed)
-    order = _canonical_order(fiedler)
     half = n // 2
-    left = {vertices[i] for i in order[:half]}
-    right = set(vertices) - left
+    order, matvecs = list(range(n)), 0
+    expired = deadline is not None and deadline.expired()
+    if not expired:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
 
-    bipartition = Bipartition(hypergraph, left, right)
+        incidence, scale = _pin_incidence(hypergraph, vertices)
+        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+        with obs.span("baseline.spectral"):
+            # Components of the vertex + net star graph: linear in pins.
+            star = sp.bmat([[None, incidence], [incidence.T, None]])
+            labels = connected_components(star, directed=False)[1][:n]
+            bounds = np.cumsum(np.bincount(labels))[:-1]
+            components = np.split(np.argsort(labels, kind="stable"), bounds)
+            components.sort(key=lambda comp: (-len(comp), comp[0]))
+            order = []
+            for comp in components:
+                if len(order) < half < len(order) + len(comp):
+                    fiedler, matvecs = _fiedler_vector(incidence[comp], scale, rng)
+                    comp = comp[_canonical_order(fiedler)]
+                order.extend(comp)
+        obs.count("baseline.spectral.components", len(components))
+    left = {vertices[i] for i in order[:half]}
+    bipartition = Bipartition(hypergraph, left, set(vertices) - left)
     obs.count("baseline.spectral.runs")
+    obs.count("baseline.spectral.matvecs", matvecs)
+    if expired:
+        obs.count("baseline.spectral.deadline_stops")
     return BaselineResult(
         bipartition=bipartition,
-        iterations=1,
+        iterations=matvecs,
         evaluations=hypergraph.num_edges,
         history=(bipartition.cutsize,),
+        degraded=expired,
+        degrade_reason="deadline expired before eigensolve; median split" if expired else None,
     )
 
 
-def _fiedler_vector(laplacian, seed) -> np.ndarray:
-    """Second-smallest eigenvector of the Laplacian (dense or Lanczos)."""
-    n = laplacian.shape[0]
-    if n <= _DENSE_LIMIT:
-        dense = laplacian.toarray()
-        _, eigenvectors = np.linalg.eigh(dense)
-        return eigenvectors[:, 1]
+def _pin_incidence(hypergraph: Hypergraph, vertices: list) -> tuple:
+    """Vertex × net 0/1 incidence over nets of >= 2 pins, and ``w / (k - 1)`` per net."""
+    import scipy.sparse as sp
 
-    import scipy.sparse.linalg as spla
+    index = {v: i for i, v in enumerate(vertices)}
+    rows, cols, scale = [], [], []
+    for name, members in hypergraph.iter_edges():
+        if len(members) >= 2:
+            rows.extend(index[v] for v in members)
+            cols.extend([len(scale)] * len(members))
+            scale.append(hypergraph.edge_weight(name) / (len(members) - 1))
+    shape = (len(vertices), len(scale))
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape), np.array(scale)
 
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+
+def _fiedler_vector(incidence, scale: np.ndarray, rng: random.Random) -> tuple:
+    """Fiedler vector of one component (its rows of the pin incidence), and the applies spent.
+
+    Lanczos finds the top eigenpair of ``c·I - L``, ``c`` being twice the
+    largest weighted degree (a bound on ``L``'s spectrum).  Each apply
+    projects out the constant null vector and maps it to ``-c``, below
+    every other eigenvalue, so the Krylov space stays full even on a
+    two-vertex component.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = incidence.shape[0]
+    sizes = np.asarray(incidence.sum(axis=0)).ravel()  # whole nets: a net lies in one component
+    diagonal = incidence @ (scale * sizes)
+    shift = 2.0 * (incidence @ (scale * (sizes - 1))).max()
+    matvecs = 0
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        mean = x.mean()
+        x = x.ravel() - mean
+        y = (shift - diagonal) * x + incidence @ (scale * (incidence.T @ x))
+        return y - y.mean() - shift * mean
+
     v0 = np.array([rng.random() for _ in range(n)])
-    try:
-        _, eigenvectors = spla.eigsh(
-            laplacian.asfptype(), k=2, sigma=-1e-3, which="LM", v0=v0
-        )
-        return eigenvectors[:, 1]
-    except Exception:
-        # Shift-invert can fail on disconnected graphs; fall back to dense.
-        dense = laplacian.toarray()
-        _, eigenvectors = np.linalg.eigh(dense)
-        return eigenvectors[:, 1]
+    _, vectors = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=1, which="LA", v0=v0)
+    return vectors[:, 0], matvecs

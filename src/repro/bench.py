@@ -85,9 +85,8 @@ class BenchCase:
 
     ``engines`` optionally restricts which engines run on this case —
     the sweep intersects it with the requested engine list.  Used by the
-    10k-module case to exclude the engines whose asymptotics cannot pay
-    for that size (KL's O(n²) passes, spectral's minute-scale
-    eigensolve).
+    scale cases to exclude the engines whose asymptotics cannot pay for
+    that size (KL's O(n²) passes, FM's python bucket walk at 100k).
 
     ``engine_notes`` documents *why* an engine is excluded, as
     ``(engine, reason)`` pairs; the reasons are surfaced in the bench
@@ -148,24 +147,20 @@ QUICK_SUITE: tuple[BenchCase, ...] = (
 #: Gated behind ``bench --scale large`` so tier-1 CI stays fast; the
 #: engine restrictions keep each case in CI-minutes territory
 #: (algorithm1 rides the CSR array core to ~3s/start at 100k; FM's
-#: python bucket walk is fine at 10k but costs minutes per run at 100k,
-#: and KL/spectral would cost minutes even at 10k).
+#: python bucket walk is fine at 10k but costs minutes per run at 100k).
 LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
     BenchCase(
         "random10k",
         "random",
         {"modules": 10_000, "signals": 16_000, "seed": 23},
-        engines=("algorithm1", "fm", "sa", "random", "flow"),
-        engine_notes=(
-            ("kl", "O(n^2) swap passes cost minutes at 10k modules"),
-            ("spectral", "dense eigensolve costs ~60s at 10k modules"),
-        ),
+        engines=("algorithm1", "fm", "sa", "random", "flow", "spectral"),
+        engine_notes=(("kl", "O(n^2) swap passes cost minutes at 10k modules"),),
     ),
     BenchCase(
         "random100k",
         "random",
         {"modules": 100_000, "signals": 160_000, "seed": 29},
-        engines=("algorithm1", "sa", "random"),
+        engines=("algorithm1", "sa", "random", "spectral"),
         engine_notes=(
             ("fm", "python bucket walk costs minutes per run at 100k modules"),
             (
@@ -174,7 +169,6 @@ LARGE_SUITE: tuple[BenchCase, ...] = PINNED_SUITE + (
                 "solves per round; minutes-scale at 100k modules",
             ),
             ("kl", "O(n^2) swap passes are hours-scale at 100k modules"),
-            ("spectral", "dense eigensolve is not feasible at 100k modules"),
         ),
     ),
 )

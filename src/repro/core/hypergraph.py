@@ -370,8 +370,9 @@ class Hypergraph:
     def clique_expansion(self):
         """Plain graph with a clique over every hyperedge's pins.
 
-        Used by the spectral baseline and for interop; edge multiplicities
-        collapse (the result is a simple graph).
+        Used for interop; edge multiplicities collapse (the result is a
+        simple graph).  The spectral baseline applies its weighted form
+        implicitly from the pin incidence instead.
         """
         from repro.core.graph import Graph
 

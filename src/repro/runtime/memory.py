@@ -1,9 +1,9 @@
 """Per-worker memory governance for the supervised pool.
 
-A worker that allocates unboundedly (the dense spectral eigensolve on a
-10k-module instance, a pathological generator input) must fail *alone*:
-without a budget the host OOM killer picks a victim — often the
-orchestrating parent — and the whole run dies.  Two complementary
+A worker that allocates unboundedly (a pathological generator input, an
+engine fed an instance far past its scale) must fail *alone*: without a
+budget the host OOM killer picks a victim — often the orchestrating
+parent — and the whole run dies.  Two complementary
 mechanisms, both driven by ``SupervisedPool(memory_limit_bytes=...)``:
 
 * **Address-space rlimit (child-side).**  The forked worker applies

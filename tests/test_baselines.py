@@ -14,6 +14,7 @@ from repro.baselines import (
 )
 from repro.baselines.cutstate import CutState
 from repro.baselines.simulated_annealing import AnnealingSchedule
+from repro.bench import PINNED_SUITE, QUICK_SUITE
 from repro.core.hypergraph import Hypergraph
 from repro.core.partition import Bipartition
 from repro.core.validation import brute_force_min_cut, check_bipartition
@@ -246,13 +247,12 @@ class TestSpectralStability:
 
     ``spectral`` sits in the bench harness's *exact* cut gate, so its
     partition must be a deterministic function of the hypergraph alone —
-    independent of the Lanczos start vector (``seed``) on the sparse
-    path and stable across repeated eigensolves on the dense path.
+    independent of the Lanczos start vector (``seed``) at every size.
     """
 
     def test_sparse_path_is_start_vector_invariant(self):
-        # > _DENSE_LIMIT vertices forces the Lanczos (eigsh) path, whose
-        # raw eigenvector varies with v0; the canonical order must not.
+        # The raw Lanczos eigenvector varies with v0; the canonical
+        # order must not.
         h = random_hypergraph(650, 1000, seed=5, connect=True)
         results = [spectral_bisection(h, seed=s) for s in (0, 1, 2)]
         cuts = {r.cutsize for r in results}
@@ -263,6 +263,7 @@ class TestSpectralStability:
         assert len(sides) == 1 and len(complements) == 1
 
     def test_dense_path_is_run_to_run_stable(self):
+        # Small instances take the same Lanczos path as large ones.
         h = random_hypergraph(200, 320, seed=9, connect=True)
         a = spectral_bisection(h, seed=0)
         b = spectral_bisection(h, seed=17)
@@ -281,3 +282,91 @@ class TestSpectralStability:
         # Ties (equal quantized values) sort by vertex index.
         tied = np.array([0.25, 0.25 + 1e-12, -0.25, -0.25 - 1e-12])
         assert list(_canonical_order(tied)) == [2, 3, 0, 1]
+
+
+def _dense_fiedler(h):
+    """Reference Fiedler vector: dense ``eigh`` of the explicit clique expansion."""
+    import numpy as np
+
+    vertices = sorted(h.vertices, key=repr)
+    index = {v: i for i, v in enumerate(vertices)}
+    adjacency = np.zeros((len(vertices), len(vertices)))
+    for name, members in h.iter_edges():
+        pins = [index[v] for v in members]
+        if len(pins) < 2:
+            continue
+        w = h.edge_weight(name) / (len(pins) - 1)
+        for a in pins:
+            for b in pins:
+                if a != b:
+                    adjacency[a, b] += w
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    return np.linalg.eigh(laplacian)[1][:, 1]
+
+
+class TestSpectralDifferential:
+    """The matrix-free Lanczos path against a dense ``eigh`` reference.
+
+    On connected instances the whole hypergraph is the straddling
+    component, so the canonical order of the Lanczos Fiedler vector must
+    equal the dense reference's exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "make",
+        [c.materialize for c in PINNED_SUITE + QUICK_SUITE]
+        + [lambda: (random_hypergraph(650, 1000, seed=5, connect=True), {})],
+        ids=[c.name for c in PINNED_SUITE + QUICK_SUITE] + ["random650"],
+    )
+    def test_canonical_order_matches_dense_reference(self, make):
+        from repro.baselines.spectral import (
+            _canonical_order,
+            _fiedler_vector,
+            _pin_incidence,
+        )
+
+        h = make()[0]
+        assert h.is_connected()
+        incidence, scale = _pin_incidence(h, sorted(h.vertices, key=repr))
+        fiedler, matvecs = _fiedler_vector(incidence, scale, random.Random(0))
+        assert matvecs > 0
+        assert list(_canonical_order(fiedler)) == list(_canonical_order(_dense_fiedler(h)))
+
+
+class TestSpectralComponents:
+    """Disconnected inputs: whole components placed, one split, seed-free."""
+
+    @staticmethod
+    def _three_blocks():
+        h = Hypergraph()
+        offset = 0
+        for n, m, seed in ((400, 640, 3), (300, 480, 4), (250, 400, 5)):
+            block = random_hypergraph(n, m, seed=seed)
+            for v in block.vertices:
+                h.add_vertex(v + offset)
+            for _, members in block.iter_edges():
+                h.add_edge([v + offset for v in members])
+            offset += n
+        return h
+
+    def test_disconnected_cut_is_seed_independent(self):
+        from repro import obs
+
+        h = self._three_blocks()
+        with obs.scoped() as reg:
+            results = [spectral_bisection(h, seed=s) for s in range(4)]
+        assert len({frozenset(r.bipartition.left) for r in results}) == 1
+        for r in results:
+            assert r.bipartition.cardinality_imbalance <= 1
+            # Splitting this input by one global Fiedler order (seed-
+            # dependent on disconnected inputs) cut 211-214 nets.
+            assert r.cutsize <= 212
+            assert r.iterations > 0
+        assert reg.counter("baseline.spectral.components") == 4 * len(h.connected_components())
+        assert reg.counter("baseline.spectral.matvecs") == sum(r.iterations for r in results)
+
+    def test_component_boundary_at_median_needs_no_eigensolve(self):
+        h = Hypergraph(edges={"a": [0, 1, 2], "b": [3, 4, 5]})
+        result = spectral_bisection(h)
+        assert result.cutsize == 0
+        assert result.iterations == 0

@@ -75,15 +75,15 @@ class TestSuites:
         assert big10k.name == "random10k"
         assert big10k.params["modules"] >= 10_000
         assert big10k.params["seed"] == 23
-        assert big10k.engines == ("algorithm1", "fm", "sa", "random", "flow")
-        assert "kl" not in big10k.engines and "spectral" not in big10k.engines
+        assert big10k.engines == ("algorithm1", "fm", "sa", "random", "flow", "spectral")
+        assert "kl" not in big10k.engines and "spectral" in big10k.engines
         assert big100k.name == "random100k"
         assert big100k.params["modules"] >= 100_000
         assert big100k.params["seed"] == 29
         # FM's python bucket walk costs minutes per repeat at 100k (and
         # flow pays comparable python corridor solves), so only the
         # engines that finish in CI-seconds run at this scale.
-        assert big100k.engines == ("algorithm1", "sa", "random")
+        assert big100k.engines == ("algorithm1", "sa", "random", "spectral")
         # Exclusions are documented, not silent: each excluded engine
         # carries a reason that run_bench surfaces in the payload.
         assert dict(big100k.engine_notes).keys() >= {"fm", "flow"}

@@ -61,7 +61,7 @@ class TestDoubleBfsModes:
 
 class TestSpectralPaths:
     def test_sparse_solver_branch(self):
-        """Above the dense cutoff (600) the Lanczos path is exercised."""
+        """A 650-module instance bisects exactly on the Lanczos path."""
         h = random_hypergraph(650, 900, seed=0, connect=True)
         result = spectral_bisection(h, seed=0)
         assert result.bipartition.cardinality_imbalance <= 1

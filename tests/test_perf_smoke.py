@@ -91,3 +91,14 @@ def _timed(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
+
+
+def test_spectral_random10k_under_generous_ceiling():
+    from repro.baselines.spectral import spectral_bisection
+
+    h = random_hypergraph(10_000, 16_000, seed=23, connect=True)
+    t0 = time.perf_counter()
+    result = spectral_bisection(h, seed=0)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"spectral took {elapsed:.2f}s on random10k"
+    assert result.bipartition.cardinality_imbalance <= 1
