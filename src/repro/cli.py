@@ -437,9 +437,7 @@ def _serve_argv(args: argparse.Namespace) -> list[str]:
         "--max-retries", str(args.max_retries),
         "--cache-max-bytes", str(args.cache_max_bytes),
         "--cache-max-entries", str(args.cache_max_entries),
-        "--batch-window", str(args.batch_window),
         "--max-inflight", str(args.max_inflight),
-        "--max-queue", str(args.max_queue),
         "--drain-timeout", str(args.drain_timeout),
         "--breaker-threshold", str(args.breaker_threshold),
         "--breaker-cooldown", str(args.breaker_cooldown),
@@ -548,10 +546,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_limit_mb=args.memory_limit,
         cache_max_bytes=args.cache_max_bytes,
         cache_max_entries=args.cache_max_entries,
-        batch_window=args.batch_window,
         obs_enabled=not args.no_obs,
         max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
         drain_timeout=args.drain_timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
@@ -1112,13 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-max-entries", type=int, default=4096, help="result-cache entry cap"
     )
     sv.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="how long concurrent requests accumulate into one pool batch",
-    )
-    sv.add_argument(
         "--no-obs",
         action="store_true",
         help="disable observability counters (/metrics still reports the "
@@ -1130,13 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="admitted concurrent requests; the excess is shed with a "
         "typed 429 + Retry-After (default 64)",
-    )
-    sv.add_argument(
-        "--max-queue",
-        type=int,
-        default=256,
-        help="broker dispatch-queue bound (distinct pending requests); "
-        "the excess is shed with a typed 429 (default 256)",
     )
     sv.add_argument(
         "--drain-timeout",

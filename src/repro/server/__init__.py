@@ -3,8 +3,9 @@
 A long-running daemon (``repro-partition serve``) that accepts
 partition/place requests as JSON over HTTP (TCP or a local ``AF_UNIX``
 socket), executes them on a shared supervised worker pool with
-per-request deadlines and memory budgets, batches concurrent requests,
-coalesces identical in-flight ones, and caches completed results
+per-request deadlines and memory budgets, dispatches distinct requests
+one at a time to per-worker dispatcher threads, coalesces identical
+in-flight ones, and caches completed results
 content-addressed by ``(hypergraph digest, settings fingerprint)``.
 
 Pieces:
@@ -14,8 +15,8 @@ Pieces:
   byte encoding.
 * :mod:`repro.server.cache` — LRU + max-bytes content-addressed result
   cache.
-* :mod:`repro.server.batching` — the request broker (batch window,
-  in-flight dedupe, bounded dispatch queue).
+* :mod:`repro.server.dispatch` — the request broker (FIFO queue,
+  per-worker dispatcher threads, in-flight dedupe).
 * :mod:`repro.server.admission` — overload guards: the bounded
   in-flight :class:`~repro.server.admission.AdmissionController` and
   the poisoned-request
@@ -38,7 +39,7 @@ responses, persistence/failover, and deployment knobs.
 
 from repro.server.admission import AdmissionController, QuarantineBreaker
 from repro.server.app import PartitionService, ServiceConfig, ServiceError
-from repro.server.batching import RequestBroker
+from repro.server.dispatch import RequestBroker
 from repro.server.cache import ResultCache
 from repro.server.persist import StateStore, StateStoreError
 from repro.server.client import (

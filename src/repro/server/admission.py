@@ -5,8 +5,8 @@ pool:
 
 * :class:`AdmissionController` — a hard bound on concurrently admitted
   requests (``max_inflight``).  The pool has ``workers`` processes and
-  the broker a bounded dispatch queue; everything beyond the budget is
-  **shed** with a typed :class:`~repro.server.protocol.Overloaded`
+  the broker queues only admitted requests; everything beyond the
+  budget is **shed** with a typed :class:`~repro.server.protocol.Overloaded`
   (HTTP 429) carrying a ``Retry-After`` hint derived from the observed
   service rate.  Shedding is O(1) and never touches the pool, so the
   daemon's answer latency under overload stays flat — the whole point
@@ -119,11 +119,6 @@ class AdmissionController:
     def inflight(self) -> int:
         with self._lock:
             return self._inflight
-
-    def retry_after_hint(self) -> float:
-        """Estimated seconds until a shed request is worth retrying."""
-        with self._lock:
-            return self._retry_after_locked()
 
     def _retry_after_locked(self) -> float:
         # Little's-law flavoured: the backlog ahead of a retry is

@@ -9,9 +9,10 @@ Request lifecycle
 2. The content-addressed cache is probed (``digest:fingerprint``); a
    hit splices the stored canonical bytes into the response — the
    result section is byte-identical to the cold run that produced it.
-3. A miss goes through the :class:`~repro.server.batching.RequestBroker`
-   which coalesces identical in-flight requests and batches distinct
-   ones onto a shared :class:`~repro.runtime.SupervisedPool`.
+3. A miss goes through the :class:`~repro.server.dispatch.RequestBroker`
+   which coalesces identical in-flight requests and hands distinct ones,
+   one at a time, to ``workers`` dispatcher threads sharing one
+   :class:`~repro.runtime.SupervisedPool`.
 4. The pool executes :func:`_service_worker` in a forked child under
    the configured per-task timeout and memory budget.  Crashes, hangs
    and budget overruns surface as **typed error responses** (500) while
@@ -28,8 +29,8 @@ work with a typed 503; the :class:`~repro.server.admission.QuarantineBreaker`
 short-circuits request keys that keep killing workers with a typed 503
 and a cooldown; the :class:`~repro.server.admission.AdmissionController`
 bounds concurrently admitted requests and sheds the excess with a typed
-429 + ``Retry-After`` (the broker's bounded dispatch queue backs it
-up).  The cache is probed *before* any guard, so hits bypass all three
+429 + ``Retry-After`` (so the broker's queue is bounded by it too).
+The cache is probed *before* any guard, so hits bypass all three
 — they cost no pool capacity, and answering them cannot delay a drain
 (the drain barrier waits only on admitted requests).
 ``SIGTERM``/:meth:`PartitionService.stop` runs the graceful drain:
@@ -72,7 +73,7 @@ from repro.placement import (
 )
 from repro.runtime import Deadline, SupervisedPool, faults
 from repro.server.admission import AdmissionController, QuarantineBreaker
-from repro.server.batching import RequestBroker
+from repro.server.dispatch import RequestBroker
 from repro.server.cache import ResultCache
 from repro.server.persist import CORRUPTION_SITE, StateStore
 from repro.server.protocol import (
@@ -106,11 +107,9 @@ class ServiceConfig:
     memory_limit_mb: float | None = None
     cache_max_bytes: int = 64 << 20
     cache_max_entries: int = 4096
-    batch_window: float = 0.005
     obs_enabled: bool = True
     # Overload & lifecycle knobs (docs/SERVICE.md § Overload & lifecycle)
     max_inflight: int = 64  # admitted concurrent requests; excess -> 429
-    max_queue: int = 256  # broker dispatch-queue bound; excess -> 429
     drain_timeout: float = 5.0  # SIGTERM: seconds in-flight work may finish
     breaker_threshold: int = 3  # worker deaths per key before quarantine
     breaker_cooldown: float = 30.0  # seconds a quarantined key stays shed
@@ -436,11 +435,7 @@ class PartitionService:
             # an in-process rerun of the thing that just killed a worker.
             sequential_fallback=False,
         )
-        self.broker = RequestBroker(
-            self._execute_batch,
-            batch_window=cfg.batch_window,
-            max_queue=cfg.max_queue,
-        )
+        self.broker = RequestBroker(self._execute, workers=cfg.workers)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -657,11 +652,9 @@ class PartitionService:
             outcome, coalesced = self.broker.submit(request.cache_key, request)
             executed = isinstance(outcome, (_Success, _Failure))
         except ServiceUnavailable as exc:
-            # Broker-level shed: dispatch queue full, or stop() raced us.
+            # Broker-level shed: stop() raced us.
             if probing:
                 self.breaker.probe_aborted(request.cache_key)
-            if exc.retry_after is None:
-                exc.retry_after = self.admission.retry_after_hint()
             return self._unavailable(exc)
         finally:
             # The slot always comes back, but only a delivered execution
@@ -750,7 +743,7 @@ class PartitionService:
             b'{"result":' + result_bytes + b',"served":' + canonical_bytes(served) + b"}"
         )
 
-    # -- executor (called from the broker dispatch thread) -------------
+    # -- executor (called from a broker dispatcher thread) -------------
 
     def _verify_result(self, request: ServiceRequest, body_bytes: bytes) -> None:
         """The boundary integrity gate: distrust the bytes about to leave.
@@ -802,88 +795,75 @@ class PartitionService:
                 key, snapshot["failures"], snapshot["open_elapsed"]
             )
 
-    def _execute_batch(self, tasks: list) -> dict:
-        requests = dict(tasks)
-        pool_tasks = [
-            (key, {"request": request, "obs": self.config.obs_enabled})
-            for key, request in tasks
-        ]
-        self._tally("executions", len(pool_tasks))
-        obs.count("server.executions", len(pool_tasks))
-        results, _report = self.pool.map(pool_tasks)
-        outcomes = {}
-        for task_result in results:
-            if task_result.ok:
-                body = task_result.value["body"]
-                # The corruption chaos hook sits between the worker and
-                # everything downstream: an armed ``server.verify`` rule
-                # flips one byte here, and the gate below must catch it.
-                body_bytes = faults.corrupt_bytes(
-                    canonical_bytes(body), CORRUPTION_SITE
-                )
-                snapshot = task_result.value.get("obs")
-                if snapshot and obs.is_enabled():
-                    obs.registry().merge(snapshot)
-                if self.config.verify_results:
-                    try:
-                        self._verify_result(requests[task_result.key], body_bytes)
-                    except IntegrityError as exc:
-                        # Corrupt results are failures with a poison
-                        # vote: they never reach the cache, the state
-                        # log, or a client.
-                        self._tally("failures")
-                        self._tally("verify_failures")
-                        obs.count("server.errors")
-                        obs.count("server.verify.failures")
-                        self._record_poison(task_result.key, "IntegrityError")
-                        outcomes[task_result.key] = _Failure(
-                            error_type="IntegrityError",
-                            message=f"result failed verification: {exc}",
-                            attempts=task_result.attempts,
-                        )
-                        continue
-                degraded = bool(body.get("degraded"))
-                if degraded:
-                    # A deadline-cut answer reflects wall-clock luck,
-                    # not request content: serving it is fine, caching
-                    # it would freeze the luck.
-                    obs.count("server.cache.uncacheable")
-                else:
-                    self.cache.put(task_result.key, body_bytes)
-                    if self.store is not None:
-                        # Spill the verified bytes: what rehydrates is
-                        # exactly what a warm hit serves today.
-                        self.store.record_cache(task_result.key, body_bytes)
-                # One breaker vote per *execution*: coalesced waiters
-                # share this result and therefore this vote.
-                cleared = self.breaker.record(task_result.key, None)
-                if cleared and self.store is not None:
-                    self.store.record_breaker_clear(task_result.key)
-                outcomes[task_result.key] = _Success(
-                    body_bytes=body_bytes,
-                    attempts=task_result.attempts,
-                    degraded=degraded,
-                )
+    def _execute(self, key: str, request: ServiceRequest) -> _Success | _Failure:
+        """Run one unique request on the pool; returns its outcome."""
+        self._tally("executions")
+        obs.count("server.executions")
+        results, _report = self.pool.map(
+            [(key, {"request": request, "obs": self.config.obs_enabled})]
+        )
+        task_result = results[0]
+        if not task_result.ok:
+            message = task_result.error or "task failed"
+            self._tally("failures")
+            obs.count("server.errors")
+            if task_result.aborted:
+                # pool.abort() cut this execution during drain: the
+                # daemon's doing, not a verdict on the request, so the
+                # breaker gets no vote — but a half-open probe that rode
+                # this execution must get its slot back.
+                error_type = "Draining"
+                self.breaker.probe_aborted(key)
             else:
-                message = task_result.error or "task failed"
+                error_type = _classify_failure(message)
+                self._record_poison(key, error_type)
+            return _Failure(
+                error_type=error_type, message=message, attempts=task_result.attempts
+            )
+        body = task_result.value["body"]
+        # The corruption chaos hook sits between the worker and
+        # everything downstream: an armed ``server.verify`` rule flips
+        # one byte here, and the gate below must catch it.
+        body_bytes = faults.corrupt_bytes(canonical_bytes(body), CORRUPTION_SITE)
+        snapshot = task_result.value.get("obs")
+        if snapshot and obs.is_enabled():
+            obs.registry().merge(snapshot)
+        if self.config.verify_results:
+            try:
+                self._verify_result(request, body_bytes)
+            except IntegrityError as exc:
+                # Corrupt results are failures with a poison vote: they
+                # never reach the cache, the state log, or a client.
                 self._tally("failures")
+                self._tally("verify_failures")
                 obs.count("server.errors")
-                if task_result.aborted:
-                    # pool.abort() cut this execution during drain: the
-                    # daemon's doing, not a verdict on the request, so
-                    # the breaker gets no vote — but a half-open probe
-                    # that rode this execution must get its slot back.
-                    error_type = "Draining"
-                    self.breaker.probe_aborted(task_result.key)
-                else:
-                    error_type = _classify_failure(message)
-                    self._record_poison(task_result.key, error_type)
-                outcomes[task_result.key] = _Failure(
-                    error_type=error_type,
-                    message=message,
+                obs.count("server.verify.failures")
+                self._record_poison(key, "IntegrityError")
+                return _Failure(
+                    error_type="IntegrityError",
+                    message=f"result failed verification: {exc}",
                     attempts=task_result.attempts,
                 )
-        return outcomes
+        degraded = bool(body.get("degraded"))
+        if degraded:
+            # A deadline-cut answer reflects wall-clock luck, not request
+            # content: serving it is fine, caching it would freeze the
+            # luck.
+            obs.count("server.cache.uncacheable")
+        else:
+            self.cache.put(key, body_bytes)
+            if self.store is not None:
+                # Spill the verified bytes: what rehydrates is exactly
+                # what a warm hit serves today.
+                self.store.record_cache(key, body_bytes)
+        # One breaker vote per *execution*: coalesced waiters share this
+        # result and therefore this vote.
+        cleared = self.breaker.record(key, None)
+        if cleared and self.store is not None:
+            self.store.record_breaker_clear(key)
+        return _Success(
+            body_bytes=body_bytes, attempts=task_result.attempts, degraded=degraded
+        )
 
     # -- introspection endpoints ---------------------------------------
 

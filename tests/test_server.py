@@ -9,6 +9,8 @@ internals except via ``/metrics``.  Covered:
   ``served`` timing section);
 * N identical concurrent requests coalescing onto exactly one pool
   execution;
+* a fast request returning while a slow one still runs on the other
+  worker (no head-of-line blocking);
 * per-request deadline enforcement (degraded results served, never
   cached);
 * LRU eviction under a tiny byte budget;
@@ -39,6 +41,7 @@ from repro import obs
 from repro.runtime import faults
 from repro.core.hypergraph import Hypergraph
 from repro.engines import run_engine
+from repro.generators import random_hypergraph
 from repro.io.json_io import hypergraph_to_payload
 from repro.placement import mincut_place
 from repro.server import (
@@ -83,7 +86,7 @@ def h() -> Hypergraph:
 
 @pytest.fixture
 def service():
-    svc = PartitionService(ServiceConfig(port=0, workers=2, batch_window=0.002)).start()
+    svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
     client = ServiceClient(url=svc.url, timeout=120.0)
     client.wait_ready(timeout=10.0)
     yield svc, client
@@ -214,11 +217,11 @@ class TestEngineParity:
 
 class TestDedupe:
     def test_identical_concurrent_requests_execute_once(self, h):
-        svc = PartitionService(
-            # A wide batch window so all threads land in one in-flight
-            # generation; workers=2 proves dedupe isn't pool starvation.
-            ServiceConfig(port=0, workers=2, batch_window=0.25)
-        ).start()
+        # A slowed worker holds the first execution in flight so every
+        # thread lands on it; workers=2 proves dedupe isn't pool
+        # starvation.
+        faults.configure("server.request=slow:1:0.5", seed=5)
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
             client.wait_ready(timeout=10.0)
@@ -256,6 +259,7 @@ class TestDedupe:
             assert metrics["service"]["coalesced"] >= n - 2
             assert metrics["broker"]["coalesced"] == metrics["service"]["coalesced"]
         finally:
+            faults.configure(None)
             svc.stop()
 
     def test_distinct_concurrent_requests_all_execute(self, service, h):
@@ -288,6 +292,45 @@ class TestDedupe:
         for seed in range(n):
             local_bp, _ = run_engine("fm", h, seed=seed, starts=10)
             assert by_seed[seed]["result"]["cutsize"] == local_bp.cutsize
+
+
+class TestHeadOfLine:
+    def test_fast_request_does_not_wait_for_a_slow_one(self, h):
+        """With a worker free, a fast request sent while a slow one runs
+        returns in its own compute time, before the slow one finishes."""
+        # FM runs four 0.5 s passes on this graph: ~2 s of one worker.
+        big = random_hypergraph(80, 120, seed=3, connect=True)
+        faults.configure("baseline.fm.pass=slow:1:0.5", seed=0)
+        svc = PartitionService(ServiceConfig(port=0, workers=2)).start()
+        try:
+            client = ServiceClient(url=svc.url, timeout=120.0)
+            client.wait_ready(timeout=10.0)
+            slow_done = threading.Event()
+            slow_status: list[int] = []
+
+            def slow():
+                status, _ = _post_raw(client, _partition_body(big, engine="fm", seed=0))
+                slow_status.append(status)
+                slow_done.set()
+
+            thread = threading.Thread(target=slow)
+            thread.start()
+            time.sleep(0.3)
+            t0 = time.perf_counter()
+            status, raw = _post_raw(
+                client, _partition_body(h, engine="algorithm1", seed=0)
+            )
+            elapsed = time.perf_counter() - t0
+            fast_first = not slow_done.is_set()
+            thread.join(timeout=60)
+            assert status == 200
+            assert json.loads(raw)["served"]["cache"] == "miss"
+            assert elapsed < 0.5, f"fast request waited {elapsed:.3f}s"
+            assert fast_first, "fast request returned after the slow one"
+            assert slow_status == [200]
+        finally:
+            faults.configure(None)
+            svc.stop()
 
 
 class TestDeadline:
@@ -330,7 +373,7 @@ class TestDeadline:
 class TestEviction:
     def test_lru_eviction_under_small_byte_budget(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_bytes=2048)
+            ServiceConfig(port=0, workers=1, cache_max_bytes=2048)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -351,7 +394,7 @@ class TestEviction:
 
     def test_entry_cap_evicts(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_entries=2)
+            ServiceConfig(port=0, workers=1, cache_max_entries=2)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -528,7 +571,7 @@ class TestObservability:
 
     def test_eviction_counter_in_obs(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, cache_max_entries=1)
+            ServiceConfig(port=0, workers=1, cache_max_entries=1)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -542,7 +585,7 @@ class TestObservability:
 
     def test_disabled_obs_keeps_always_on_metrics(self, h):
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, obs_enabled=False)
+            ServiceConfig(port=0, workers=1, obs_enabled=False)
         ).start()
         try:
             client = ServiceClient(url=svc.url, timeout=120.0)
@@ -570,7 +613,7 @@ class TestUnixSocket:
     def test_serves_over_unix_socket(self, tmp_path, h):
         path = str(tmp_path / "svc.sock")
         svc = PartitionService(
-            ServiceConfig(socket_path=path, workers=1, batch_window=0.0)
+            ServiceConfig(socket_path=path, workers=1)
         ).start()
         try:
             client = ServiceClient(socket_path=path, timeout=120.0)
@@ -637,7 +680,7 @@ class TestPersistenceVerifyFailover:
         assert client.metrics()["persist"] is None
 
     def test_state_round_trips_across_a_graceful_restart(self, tmp_path, h):
-        cfg = dict(port=0, workers=1, batch_window=0.0, state_dir=str(tmp_path))
+        cfg = dict(port=0, workers=1, state_dir=str(tmp_path))
         svc = PartitionService(ServiceConfig(**cfg)).start()
         client = ServiceClient(url=svc.url, timeout=60.0)
         client.wait_ready(timeout=10.0)
@@ -682,7 +725,7 @@ class TestPersistenceVerifyFailover:
         # damaged body sails through as a 200 — documented escape
         # hatch, not a recommendation.
         svc = PartitionService(
-            ServiceConfig(port=0, workers=1, batch_window=0.0, verify_results=False)
+            ServiceConfig(port=0, workers=1, verify_results=False)
         ).start()
         client = ServiceClient(url=svc.url, timeout=60.0)
         client.wait_ready(timeout=10.0)

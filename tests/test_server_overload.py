@@ -44,7 +44,7 @@ from repro.server import (
 )
 from repro.server.admission import AdmissionController, QuarantineBreaker
 from repro.server.app import _classify_failure
-from repro.server.batching import RequestBroker
+from repro.server.dispatch import RequestBroker
 from repro.server.client import ServiceClientError, ServiceConnectionError
 from repro.server.loadgen import run_load
 from repro.server.protocol import (
@@ -244,65 +244,24 @@ class TestQuarantineBreakerUnit:
 
 
 # ----------------------------------------------------------------------
-# Unit: broker bounds + prompt waiter failure on stop()
+# Unit: prompt waiter failure on broker stop()
 # ----------------------------------------------------------------------
 
 
 class TestBrokerOverload:
-    def test_bounded_queue_sheds_typed_overloaded(self):
-        release = threading.Event()
-        entered = threading.Event()
-
-        def execute(batch):
-            entered.set()
-            release.wait(timeout=30)
-            return {key: f"done:{key}" for key, _ in batch}
-
-        broker = RequestBroker(execute, batch_window=0.0, max_queue=2)
-        broker.start()
-        outcomes = {}
-
-        def submit(key):
-            outcomes[key] = broker.submit(key, None)
-
-        try:
-            # Park one batch in the executor so the queue can fill.
-            blocker = threading.Thread(target=submit, args=("hold",))
-            blocker.start()
-            assert entered.wait(timeout=5)
-            q1 = threading.Thread(target=submit, args=("q1",))
-            q2 = threading.Thread(target=submit, args=("q2",))
-            q1.start()
-            q2.start()
-            deadline = time.monotonic() + 5
-            while broker.stats()["queue_depth"] < 2:
-                assert time.monotonic() < deadline, "queue never filled"
-                time.sleep(0.005)
-            with pytest.raises(Overloaded) as excinfo:
-                broker.submit("q3", None)
-            assert excinfo.value.http_status == 429
-            assert broker.stats()["shed_queue_full"] == 1
-            release.set()
-            for t in (blocker, q1, q2):
-                t.join(timeout=10)
-            assert outcomes["q1"][0] == "done:q1"
-        finally:
-            release.set()
-            broker.stop()
-
     def test_stop_fails_parked_waiters_promptly(self):
-        """Satellite regression: waiters queued behind a stuck batch get
-        a typed Draining outcome the moment stop() gives up waiting —
-        not after the stuck batch (or a client timeout) unblocks."""
+        """Regression: waiters queued behind a stuck execution get a
+        typed Draining outcome the moment stop() gives up waiting — not
+        after the stuck execution (or a client timeout) unblocks."""
         release = threading.Event()
         entered = threading.Event()
 
-        def execute(batch):
+        def execute(key, payload):
             entered.set()
             release.wait(timeout=30)
-            return {key: f"done:{key}" for key, _ in batch}
+            return f"done:{key}"
 
-        broker = RequestBroker(execute, batch_window=0.0)
+        broker = RequestBroker(execute, workers=1)
         broker.start()
         results = {}
         done = {name: threading.Event() for name in ("stuck", "q", "q2")}
@@ -342,7 +301,7 @@ class TestBrokerOverload:
         assert not stopper.is_alive()
         for t in threads:
             t.join(timeout=10)
-        # The in-flight batch still completed for its own waiter.
+        # The in-flight execution still completed for its own waiter.
         assert results["stuck"][0] == "done:A"
 
 
@@ -394,7 +353,7 @@ class TestHandleRequestGuards:
         assert json.loads(body)["error"]["type"] == "Overloaded"
         svc.admission.release(None)
 
-        # Path 2: the probe is shed by the broker (queue full).
+        # Path 2: the broker raises a typed shed.
         def shed(key_, payload):
             raise Overloaded("dispatch queue is full")
 
@@ -448,7 +407,7 @@ class TestHandleRequestGuards:
         key = request.cache_key
         svc.breaker.record(key, "WorkerCrashed")
         clock.now += 5.1
-        assert svc.breaker.check(key) is True  # the probe rides this batch
+        assert svc.breaker.check(key) is True  # the probe rides this execution
 
         def cut_map(tasks):
             return (
@@ -465,8 +424,8 @@ class TestHandleRequestGuards:
             )
 
         monkeypatch.setattr(svc.pool, "map", cut_map)
-        outcomes = svc._execute_batch([(key, request)])
-        assert outcomes[key].error_type == "Draining"
+        outcome = svc._execute(key, request)
+        assert outcome.error_type == "Draining"
         stats = svc.breaker.stats()
         assert stats["probe_aborts"] == 1  # the probe slot came back ...
         assert stats["recoveries"] == 0  # ... but the key was NOT forgiven
@@ -623,7 +582,6 @@ class TestWaitReady:
 
 
 def _start(**config_kwargs):
-    config_kwargs.setdefault("batch_window", 0.0)
     config = ServiceConfig(port=0, **config_kwargs)
     svc = PartitionService(config).start()
     client = ServiceClient(url=svc.url, timeout=120.0, max_retries=0)
@@ -643,7 +601,7 @@ def _body(h, seed=0, starts=5):
 @pytest.mark.chaos
 class TestOverloadIntegration:
     def test_admission_sheds_typed_429_with_retry_after_header(self, h):
-        svc, client = _start(workers=1, max_inflight=1, max_queue=64)
+        svc, client = _start(workers=1, max_inflight=1)
         try:
             faults.configure("server.request=slow:1:0.4", seed=3)
             first_done = threading.Event()
@@ -927,8 +885,6 @@ class TestSoak:
             "2",
             "--max-inflight",
             "4",
-            "--max-queue",
-            "8",
             "--drain-timeout",
             "10",
             "--cache-max-entries",
